@@ -59,11 +59,12 @@ def test_a05_pipelining(benchmark, report):
     results = benchmark.pedantic(_run, rounds=1, iterations=1)
 
     report.table(
-        "metric                 seconds",
+        "metric                          value",
         [
-            f"pipelined trigger-to-valid   {results['pipelined_s']:8.2f}",
-            f"serial (quantize then write) {results['serial_s']:8.2f}",
-            f"total quantization work      {results['quantize_s']:8.2f}",
+            f"pipelined trigger-to-valid   {results['pipelined_s']:8.2f} s",
+            f"serial (quantize then write) {results['serial_s']:8.2f} s",
+            f"total quantization work      "
+            f"{results['quantize_s'] * 1e3:8.3f} ms",
             f"chunks written               {results['chunks']:8d}",
         ],
     )
@@ -74,7 +75,8 @@ def test_a05_pipelining(benchmark, report):
     hidden = results["serial_s"] - results["pipelined_s"]
     assert hidden > 0.25 * results["quantize_s"]
     report.row(
-        f"pipelining hid {hidden:.2f}s of {results['quantize_s']:.2f}s "
+        f"pipelining hid {hidden * 1e3:.3f} ms of "
+        f"{results['quantize_s'] * 1e3:.3f} ms "
         f"quantization work "
         f"({hidden / results['quantize_s']:.0%}) behind storage writes"
     )

@@ -54,6 +54,14 @@ def trace_config(jobs: int, replicate_k: int) -> FleetConfig:
     )
 
 
+def _reduction(label: str, before: float, after: float, change: str) -> str:
+    """``label: 3.0x (change)``; a ratio against a replicated value of
+    0 is not a number, so then only the before -> after change shows."""
+    if after == 0:
+        return f"{label}: {change}"
+    return f"{label}: {before / after:.1f}x ({change})"
+
+
 def test_replication_wasted_work_and_storm_reads(report):
     jobs = int(os.environ.get("B05_JOBS", "8"))
     rows = []
@@ -90,16 +98,22 @@ def test_replication_wasted_work_and_storm_reads(report):
     assert base.restores > 0
     assert repl.repl_peer_restores > 0
 
-    wasted_reduction = base_wasted / max(1, repl_wasted)
-    read_reduction = base.total_get_bytes / max(1, repl.total_get_bytes)
     report.row(
-        f"wasted-work reduction: {wasted_reduction:.1f}x "
-        f"({base_wasted} -> {repl_wasted} batches)"
+        _reduction(
+            "wasted-work reduction",
+            base_wasted,
+            repl_wasted,
+            f"{base_wasted} -> {repl_wasted} batches",
+        )
     )
     report.row(
-        f"storm read-byte reduction: {read_reduction:.1f}x "
-        f"({base.total_get_bytes / 2**20:.2f} -> "
-        f"{repl.total_get_bytes / 2**20:.2f} MiB)"
+        _reduction(
+            "storm read-byte reduction",
+            base.total_get_bytes,
+            repl.total_get_bytes,
+            f"{base.total_get_bytes / 2**20:.2f} -> "
+            f"{repl.total_get_bytes / 2**20:.2f} MiB",
+        )
     )
     assert repl_wasted < base_wasted, (
         f"replication did not reduce wasted work: "

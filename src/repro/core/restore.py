@@ -193,10 +193,9 @@ class CheckpointRestorer:
         overwrite probe and :meth:`ObjectStore.object_size`.
         """
         backend = self.store.backend
-        engine = getattr(self.store, "engine", None)
-        if engine is None:
-            return backend.exists(key)
-        return engine.retry_probe(OP_HEAD, lambda: backend.exists(key))
+        return self.store.engine.retry_probe(
+            OP_HEAD, lambda: backend.exists(key)
+        )
 
     def _objects_present(self, manifest: CheckpointManifest) -> bool:
         """Whether every chunk/dense object of one link still exists."""

@@ -5,10 +5,10 @@ Working from an in-memory snapshot, the writer:
 1. selects rows per shard (all rows for a full checkpoint, the
    tracker-masked rows for an incremental one);
 2. quantizes chunk by chunk on the transfer engine's *worker pool*
-   (real numpy work on background threads, so the measured wall time
-   overlaps the writer's own encode/submit work the same way the
-   calibrated simulated quantization lane overlaps the storage
-   timeline), plus a simulated latency at paper scale;
+   (real numpy work on background threads, so the wall time overlaps
+   the writer's own encode/submit work the same way the calibrated
+   simulated quantization lane overlaps the storage timeline), plus a
+   simulated latency at paper scale;
 3. stores each chunk as soon as it is quantized — the storage transfer
    of chunk *k* overlaps the quantization of chunk *k + 1*, which is
    why the paper calls the effective quantization latency "virtually
@@ -72,23 +72,11 @@ class WriteReport:
     measured_quantize_s: float  # real numpy wall time (transparency)
     started_at_s: float
     valid_at_s: float
-    #: Real seconds the writer *blocked* waiting on worker-pool
-    #: quantization tasks (0 when every task finished behind other
-    #: work). ``measured_quantize_s - measured_wait_s`` is the measured
-    #: wall-time overlap the pool bought.
-    measured_wait_s: float = 0.0
 
     @property
     def pipeline_duration_s(self) -> float:
         """Trigger-to-valid latency of the checkpoint."""
         return self.valid_at_s - self.started_at_s
-
-    @property
-    def measured_overlap_s(self) -> float:
-        """Real quantization seconds hidden behind the writer's own
-        encode/submit progress — the measured counterpart of the
-        simulated pipelining."""
-        return max(0.0, self.measured_quantize_s - self.measured_wait_s)
 
 
 @dataclass(frozen=True)
@@ -139,16 +127,6 @@ def _encode_chunk_payloads(
             )
         )
     return weights_payload, accum_payload, time.perf_counter() - start
-
-
-class _InlineTask:
-    """Worker-pool stand-in for stores without a transfer engine."""
-
-    def __init__(self, value: object) -> None:
-        self._value = value
-
-    def result(self) -> object:
-        return self._value
 
 
 class CheckpointWriter:
@@ -284,10 +262,10 @@ class CheckpointWriter:
         """Staged checkpoint write: yields before every PUT request.
 
         Quantization runs on the transfer engine's worker pool with a
-        :data:`QUANT_LOOKAHEAD`-deep pipeline, so the measured wall
-        time of chunk *k + 1*'s quantization overlaps chunk *k*'s
-        encoding and submission; the simulated quantization lane models
-        the same overlap in simulated time. Each PUT is announced
+        :data:`QUANT_LOOKAHEAD`-deep pipeline, so the wall time of
+        chunk *k + 1*'s quantization overlaps chunk *k*'s encoding and
+        submission; the simulated quantization lane models the same
+        overlap in simulated time. Each PUT is announced
         before it is submitted — against a multipart backend, once per
         *part* — so a fleet scheduler can interleave submissions from
         many jobs on the shared link in ``ready_s`` order. Abandoning
@@ -300,10 +278,9 @@ class CheckpointWriter:
         if chunk_rows < 1:
             raise CheckpointError("chunk_rows must be >= 1")
         started_at = self.clock.now
-        engine = getattr(self.store, "engine", None)
+        engine = self.store.engine
         quantize_sim_total = 0.0
         measured_quantize = 0.0
-        measured_wait = 0.0
         logical_total = 0
         physical_total = 0
         rows_total = 0
@@ -314,16 +291,14 @@ class CheckpointWriter:
         def submit_quantize(
             weights: np.ndarray, accumulator: np.ndarray
         ) -> object:
-            args = (
+            return engine.submit_task(
+                _encode_chunk_payloads,
                 quantizer,
                 weights,
                 accumulator,
                 quantize_optimizer_state,
                 quantizer.bits,
             )
-            if engine is None:
-                return _InlineTask(_encode_chunk_payloads(*args))
-            return engine.submit_task(_encode_chunk_payloads, *args)
 
         # Chunk plan across *all* shards, so the quantization lookahead
         # pipelines over shard boundaries too (fleet-scale jobs often
@@ -364,9 +339,7 @@ class CheckpointWriter:
             task = tasks[plan_index]
             tasks[plan_index] = None
             assert task is not None
-            blocked = time.perf_counter()
             weights_payload, accum_payload, busy_s = task.result()
-            measured_wait += time.perf_counter() - blocked
             measured_quantize += busy_s
 
             table_rows = local_rows + shard.row_start
@@ -534,6 +507,5 @@ class CheckpointWriter:
             measured_quantize_s=measured_quantize,
             started_at_s=started_at,
             valid_at_s=manifest.valid_at_s,
-            measured_wait_s=measured_wait,
         )
         return manifest, report

@@ -19,7 +19,7 @@ them by running whole fleets against one shared store:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -175,14 +175,6 @@ class FleetRunReport:
     cache_flush_failures: int = 0
     cache_dirty_backlog: int = 0
     cache_dirty_bytes: int = 0
-    #: Measured (real, not simulated) quantization worker-pool seconds:
-    #: busy time, caller-blocked time, and their difference — the wall
-    #: time the pool hid behind the writers' own work. Excluded from
-    #: equality: wall-clock measurements differ run to run even when
-    #: the simulation is deterministic.
-    pool_busy_s: float = field(default=0.0, compare=False)
-    pool_wait_s: float = field(default=0.0, compare=False)
-    pool_overlap_s: float = field(default=0.0, compare=False)
     #: Peer-replication tier (all 0 when ``FleetConfig.replicate_k``
     #: is 0): replica count, fleet-wide recovery-ladder outcomes
     #: (peer restores vs store fallbacks), mirror traffic, torn sends
@@ -340,7 +332,6 @@ def summarize_fleet(
         for op in OP_CLASSES
         if store.ops.receipts(op)
     )
-    engine = store.engine
     from ..storage.cache import find_cache_tier
 
     cache = find_cache_tier(store.backend)
@@ -429,9 +420,6 @@ def summarize_fleet(
         ),
         retries_by_op=retries_by_op,
         part_interleave_splits=part_split_score(puts),
-        pool_busy_s=engine.pool_busy_s,
-        pool_wait_s=engine.pool_wait_s,
-        pool_overlap_s=engine.pool_overlap_s,
     )
 
 
@@ -501,9 +489,6 @@ def format_fleet_report(report: FleetRunReport) -> str:
         f"bit-rot injected writes: {report.bitrot_injected}"
         f"  restore fallbacks: {report.restore_fallbacks}"
         f"  scratch restarts: {report.scratch_restarts}",
-        f"quantize pool (measured): {report.pool_busy_s:.3f} s busy, "
-        f"{report.pool_wait_s:.3f} s blocked, "
-        f"{report.pool_overlap_s:.3f} s overlapped",
     ]
     if report.replicate_k > 0:
         lines += [

@@ -53,7 +53,6 @@ from .object_store import (
     CapacityPoint,
     ObjectStore,
     PrefixDeleteReceipt,
-    PutReceipt,
     StoreStats,
 )
 from .remote import RemoteObjectBackend, s3like_costs
@@ -109,7 +108,6 @@ __all__ = [
     "OpReceipt",
     "PartPlan",
     "PrefixDeleteReceipt",
-    "PutReceipt",
     "RemoteObjectBackend",
     "StagedPut",
     "StorageRequest",

@@ -23,10 +23,10 @@ not see the backlog it was supposed to govern. The
   charged in simulated time and every receipt's
   :attr:`~repro.storage.requests.OpReceipt.retries` counts them;
 * **a quantization worker pool** — real background threads the
-  checkpoint writer runs chunk quantization on, with busy/blocked
-  accounting so the *measured* wall-time overlap (work hidden behind
-  the caller's own progress) is reportable, mirroring what the
-  simulated quantization lane models;
+  checkpoint writer runs chunk quantization on, so the next chunks'
+  quantization overlaps the writer's own encode/submit work in wall
+  time, as the simulated quantization lane models it in simulated
+  time;
 * **backlog-driven admission control** — :class:`AdmissionController`
   replaces the fixed concurrent-write cap: using the
   ``preempt_wait_s``-style backlog signal
@@ -51,8 +51,7 @@ admit.
 from __future__ import annotations
 
 import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, TypeVar
 
@@ -84,7 +83,7 @@ READ_ADMISSION_MODES = ("none", "dynamic")
 
 #: One process-wide pool: engines are created per store and stores are
 #: created by the hundreds in tests — per-engine executors would leak
-#: threads. Accounting stays per-engine.
+#: threads.
 _POOL_LOCK = threading.Lock()
 _POOL: ThreadPoolExecutor | None = None
 
@@ -100,26 +99,19 @@ def _shared_pool() -> ThreadPoolExecutor:
 
 
 class PoolTask:
-    """Handle on one background task with wall-time accounting.
+    """Handle on one task running on the worker pool; ``result()``
+    blocks until the task finished and returns (or raises) its
+    outcome.
 
-    ``result()`` measures how long the caller actually *blocked*; the
-    task body measures how long it ran. Their difference is the wall
-    time the pool hid behind the caller's own work — the measured
-    counterpart of the simulated quantization lane's overlap.
+    A named class rather than the bare future, so the wall-clock
+    benchmark (``perfbench/layers.py``) can time the blocking wait.
     """
 
-    def __init__(self, engine: "TransferEngine", future) -> None:
-        self._engine = engine
+    def __init__(self, future: Future) -> None:
         self._future = future
 
     def result(self) -> object:
-        start = time.perf_counter()
-        try:
-            return self._future.result()
-        finally:
-            waited = time.perf_counter() - start
-            with self._engine._pool_lock:
-                self._engine.pool_wait_s += waited
+        return self._future.result()
 
 
 @dataclass(frozen=True)
@@ -706,10 +698,6 @@ class TransferEngine:
         #: Successful-request retry ledger per op class (probe retries
         #: included; receipts carry the per-request counts).
         self.retries_by_op: dict[str, int] = {}
-        self._pool_lock = threading.Lock()
-        self.pool_tasks = 0
-        self.pool_busy_s = 0.0
-        self.pool_wait_s = 0.0
 
     # -- staged-put registry -------------------------------------------
 
@@ -926,30 +914,11 @@ class TransferEngine:
         """Run ``fn(*args)`` on the background worker pool.
 
         The checkpoint writer submits chunk quantization here so the
-        measured wall time overlaps the caller's own encode/submit
-        work, like the simulated quantization lane overlaps the
-        storage timeline.
+        wall time of the next chunks' quantization overlaps the
+        caller's own encode/submit work, like the simulated
+        quantization lane overlaps the storage timeline.
         """
-
-        def wrapped() -> T:
-            start = time.perf_counter()
-            try:
-                return fn(*args)
-            finally:
-                busy = time.perf_counter() - start
-                with self._pool_lock:
-                    self.pool_busy_s += busy
-
-        with self._pool_lock:
-            self.pool_tasks += 1
-        return PoolTask(self, _shared_pool().submit(wrapped))
-
-    @property
-    def pool_overlap_s(self) -> float:
-        """Measured seconds of pool work hidden behind caller progress
-        (task busy time minus time callers actually blocked waiting)."""
-        with self._pool_lock:
-            return max(0.0, self.pool_busy_s - self.pool_wait_s)
+        return PoolTask(_shared_pool().submit(fn, *args))
 
 
 # ----------------------------------------------------------------------

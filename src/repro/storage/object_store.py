@@ -48,12 +48,6 @@ from .requests import (
     StorageRequest,
 )
 
-#: Legacy alias: PUT completions used to be ``PutReceipt``; every field
-#: the old type exposed (key, logical/physical bytes, start_s, end_s,
-#: duration_s) is still available on :class:`OpReceipt`.
-PutReceipt = OpReceipt
-
-
 @dataclass(frozen=True)
 class CapacityPoint:
     """Live capacity at one moment in simulated time."""
